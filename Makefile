@@ -50,7 +50,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAdmissionControl -fuzztime=10s ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzJournalRoundTrip -fuzztime=10s ./internal/store/
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointTransfer -fuzztime=10s ./internal/transfer/
-	$(GO) test -run=^$$ -fuzz=FuzzParallelSimEquivalence -fuzztime=10s ./internal/sim/
+	$(GO) test -run=^$$ -fuzz=FuzzSimDeterminism -fuzztime=10s ./internal/sim/
 
 # obs-check exercises the observability core under the race detector (the
 # bus and registry are the only pieces shared across goroutines by design)
@@ -95,15 +95,14 @@ transfer-check:
 	$(GO) test -race -run 'Transfer|Staged|Chunk' ./internal/agent/ ./internal/cluster/
 	$(GO) run ./cmd/eflint ./internal/transfer/
 
-# sim-check proves the sharded parallel engine (DESIGN.md §15) is
-# byte-identical to the serial loop under the race detector — the full oracle
-# suite: worker-sweep and shard-count equivalence, GOMAXPROCS=1 progress, the
-# golden determinism/span trails, and the shard-aware MaxSimSec abort — then
-# smokes the million-job pipeline end-to-end at reduced scale: the scale
-# experiment replays a seeded prefix of the Philly-scale trace at workers
-# 1/2/4/8 and cross-checks the DSR across worker counts.
+# sim-check runs the simulator's determinism oracles under the race
+# detector — the golden event and span trails, the run-twice determinism
+# fuzz seeds, and the MaxSimSec runaway abort — then smokes the million-job
+# pipeline end-to-end at reduced scale: the scale experiment replays a seeded
+# prefix of the Philly-scale trace through the serial event loop and fails
+# on any invariant-audit violation.
 sim-check:
-	$(GO) test -race -run 'Parallel|MaxSimSec|Determinism' ./internal/sim/
+	$(GO) test -race -run 'MaxSimSec|Determinism|Golden' ./internal/sim/
 	$(GO) run ./cmd/efbench -exp scale -quick
 
 # front-check exercises the multi-tenant front door (DESIGN.md §16) under

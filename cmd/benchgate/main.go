@@ -8,8 +8,8 @@
 // Usage:
 //
 //	benchgate -base base.txt -head head.txt [-threshold 0.15] [-bench regexp]
-//	benchgate -metrics BENCH.json -rule 'scale.jobs_per_sec_w8>=50' \
-//	          -rule 'scale.speedup_w8>=3.0 @cpus>=8'
+//	benchgate -metrics BENCH.json -rule 'scale.jobs_per_sec>=25' \
+//	          -rule 'frontdoor.submissions_per_min>=100000 @cpus>=8'
 //	benchgate -metrics BENCH.json -rules-file rules.txt
 //
 // Medians over -count repetitions absorb runner noise; a single noisy
@@ -92,7 +92,7 @@ func main() {
 	benchRE := flag.String("bench", "", "only gate benchmarks matching this regexp (default: all)")
 	metrics := flag.String("metrics", "", "BENCH.json report to gate with -rule assertions")
 	var rules ruleList
-	flag.Var(&rules, "rule", "metric rule, e.g. 'scale.speedup_w8>=3.0 @cpus>=8' (repeatable; requires -metrics)")
+	flag.Var(&rules, "rule", "metric rule, e.g. 'frontdoor.submissions_per_min>=100000 @cpus>=8' (repeatable; requires -metrics)")
 	rulesFile := flag.String("rules-file", "", "file of metric rules, one per line (# comments; requires -metrics)")
 	flag.Parse()
 

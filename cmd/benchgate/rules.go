@@ -1,15 +1,16 @@
 // Metric-rule gating: besides comparing two `go test -bench` outputs,
 // benchgate can assert floors (or ceilings) on the machine-readable scalars a
-// BENCH.json report carries — e.g. the scale experiment's jobs/sec and
-// parallel speedup. A rule reads
+// BENCH.json report carries — e.g. the scale experiment's jobs/sec and the
+// frontdoor experiment's admission rate. A rule reads
 //
 //	<experiment>.<metric> >= <value> [@cpus>=N]
 //	<experiment>.<metric> <= <value> [@cpus>=N]
 //
 // (spaces optional). The optional @cpus>=N suffix makes the rule conditional
-// on the measuring host: speedup floors are meaningless on a 1-CPU runner, so
-// a rule like `scale.speedup_w8>=3.0 @cpus>=8` is recorded as skipped — not
-// passed, not failed — when the report's num_cpu is below 8.
+// on the measuring host: throughput floors set for a large runner are
+// meaningless on a 1-CPU one, so a rule like
+// `frontdoor.submissions_per_min>=100000 @cpus>=8` is recorded as skipped —
+// not passed, not failed — when the report's num_cpu is below 8.
 package main
 
 import (

@@ -89,7 +89,6 @@ func main() {
 			PlanCacheHits:   hits,
 			PlanCacheMisses: misses,
 			Metrics:         table.Metrics,
-			Scale:           table.Scale,
 			Frontdoor:       table.Frontdoor,
 		})
 		fmt.Println(table)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	efsim [-trace file.json] [-sched name] [-gpus N] [-jobs N] [-load F] [-seed N] [-v]
-//	      [-workers N] [-events out.json] [-metrics out.prom] [-trace-out out.json]
+//	      [-events out.json] [-metrics out.prom] [-trace-out out.json]
 //
 // Without -trace a synthetic trace is generated from -gpus/-jobs/-load/-seed.
 // -events and -metrics export the run's structured event log (JSON) and the
@@ -49,7 +49,6 @@ func main() {
 	eventsOut := flag.String("events", "", "write the structured event log as JSON to this file (\"-\" = stdout)")
 	metricsOut := flag.String("metrics", "", "write final metrics in Prometheus text format to this file (\"-\" = stdout)")
 	traceOut := flag.String("trace-out", "", "write the span trail as Chrome trace-event JSON (Perfetto-loadable) to this file (\"-\" = stdout)")
-	workers := flag.Int("workers", 0, "simulator shard goroutines (0 or 1 = serial; results are byte-identical at any count)")
 	flag.Parse()
 
 	var tr trace.Trace
@@ -106,7 +105,6 @@ func main() {
 		Scheduler: s,
 		SampleSec: 600,
 		Obs:       sink,
-		Workers:   *workers,
 	}, jobList, tr.Name)
 	if err != nil {
 		fatal(err)

@@ -2,8 +2,9 @@
 // performance record `efbench -json` emits and CI archives per commit, so
 // the repo accumulates a perf trajectory instead of anecdotes.
 //
-// The schema is additive-only: new fields may appear, existing fields keep
-// their names and meanings, so historical BENCH.json files stay comparable.
+// Fields are never renamed or repurposed, so historical BENCH.json files stay
+// comparable. A field whose producer is deleted is dropped from the schema;
+// readers ignore it in old documents.
 package bench
 
 import (
@@ -38,36 +39,9 @@ type Experiment struct {
 	// cannot express (e.g. the store experiment's append throughput and
 	// recovery latency). Absent for experiments that report none.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Scale is the parallel-simulator self-profile: jobs/sec per worker
-	// count plus the fitted Universal Scaling Law. Only the `scale`
-	// experiment emits it (efbench/3).
-	Scale *ScaleProfile `json:"scale,omitempty"`
 	// Frontdoor is the multi-tenant admission-tier load profile. Only the
 	// `frontdoor` experiment emits it (efbench/4).
 	Frontdoor *FrontdoorProfile `json:"frontdoor,omitempty"`
-}
-
-// ScalePoint is one worker count's throughput measurement from the scale
-// experiment's sweep.
-type ScalePoint struct {
-	// Workers is the sim.Config.Workers value of this run (1 = serial loop).
-	Workers int `json:"workers"`
-	// JobsPerSec is trace jobs simulated per wall-clock second.
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	// Speedup is JobsPerSec relative to the 1-worker point.
-	Speedup float64 `json:"speedup"`
-}
-
-// ScaleProfile records the scale experiment's worker sweep and the Universal
-// Scaling Law fit over it: C(p) = p / (1 + σ(p−1) + κ·p(p−1)), where σ is the
-// contention (serial-fraction) coefficient and κ the coherency (crosstalk)
-// coefficient. PeakWorkers = √((1−σ)/κ) is the fitted throughput peak
-// (0 when κ = 0, i.e. no retrograde point).
-type ScaleProfile struct {
-	Points      []ScalePoint `json:"points"`
-	Sigma       float64      `json:"usl_sigma"`
-	Kappa       float64      `json:"usl_kappa"`
-	PeakWorkers float64      `json:"usl_peak_workers,omitempty"`
 }
 
 // FrontdoorProfile records the front-door load-generator run: open-loop
@@ -107,7 +81,7 @@ type Report struct {
 	// GoVersion records the toolchain (runtime.Version()).
 	GoVersion string `json:"go_version"`
 	// NumCPU records the logical CPUs of the measuring host
-	// (runtime.NumCPU()) — parallel speedups are meaningless without it,
+	// (runtime.NumCPU()) — throughput floors are meaningless without it,
 	// and benchgate's @cpus>= rule conditions read it.
 	NumCPU int `json:"num_cpu,omitempty"`
 	// Quick reports whether workloads were shrunk (-quick).

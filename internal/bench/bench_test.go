@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,13 +21,7 @@ func TestReportRoundTrip(t *testing.T) {
 		Experiments: []Experiment{
 			{ID: "fig6a", WallSec: 0.25, Decisions: 120, Allocations: 480, PlanCacheHits: 900, PlanCacheMisses: 100},
 			{ID: "fig7a", WallSec: 2.5, Decisions: 400, Allocations: 4000, PlanCacheHits: 0, PlanCacheMisses: 0},
-			{ID: "scale", WallSec: 1.5, Scale: &ScaleProfile{
-				Points: []ScalePoint{
-					{Workers: 1, JobsPerSec: 1000, Speedup: 1},
-					{Workers: 8, JobsPerSec: 5200, Speedup: 5.2},
-				},
-				Sigma: 0.05, Kappa: 0.002, PeakWorkers: 21.8,
-			}},
+			{ID: "scale", WallSec: 1.5, Metrics: map[string]float64{"jobs_per_sec": 266}},
 		},
 		SpanCount:     1234,
 		TraceOverhead: 0.021,
@@ -60,8 +57,8 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRejectsUnknownSchema guards the additive-only contract: a report
-// stamped with a different schema tag is refused rather than misread.
+// TestReadRejectsUnknownSchema guards the schema contract: a report stamped
+// with a different schema tag is refused rather than misread.
 func TestReadRejectsUnknownSchema(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"schema":"efbench/999"}`)); err == nil {
 		t.Fatal("unknown schema accepted")
@@ -88,7 +85,7 @@ func TestReadAcceptsV1(t *testing.T) {
 	if r.SpanCount != 0 || r.TraceOverhead != 0 {
 		t.Errorf("v1 document grew tracing fields: %+v", r)
 	}
-	if r.NumCPU != 0 || r.Experiments[0].Scale != nil {
+	if r.NumCPU != 0 {
 		t.Errorf("v1 document grew v3 fields: %+v", r)
 	}
 }
@@ -107,8 +104,9 @@ func TestReadAcceptsV2(t *testing.T) {
 	}
 }
 
-// TestReadAcceptsV3 keeps v3 documents (scale profile, no frontdoor
-// profile) readable alongside the older versions.
+// TestReadAcceptsV3 keeps v3 documents readable alongside the older
+// versions. Their `scale` worker-sweep object has no field to land in any
+// more; the decoder ignores it and keeps the rest of the record.
 func TestReadAcceptsV3(t *testing.T) {
 	doc := `{"schema":"efbench/3","go_version":"go1.22","num_cpu":8,"quick":false,` +
 		`"experiments":[{"id":"scale","wall_sec":1,"decisions":0,"allocations":0,` +
@@ -120,7 +118,8 @@ func TestReadAcceptsV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Schema != SchemaV3 || len(r.Experiments) != 1 || r.Experiments[0].Scale == nil {
+	if r.Schema != SchemaV3 || r.NumCPU != 8 || len(r.Experiments) != 1 ||
+		r.Experiments[0].ID != "scale" || r.Experiments[0].WallSec != 1 {
 		t.Fatalf("v3 read = %+v", r)
 	}
 	if r.Experiments[0].Frontdoor != nil {
@@ -134,10 +133,7 @@ func TestJSONFieldNames(t *testing.T) {
 	var buf bytes.Buffer
 	r := &Report{
 		NumCPU: 4,
-		Experiments: []Experiment{{ID: "x", Scale: &ScaleProfile{
-			Points: []ScalePoint{{Workers: 2, JobsPerSec: 1, Speedup: 1}},
-			Kappa:  0.001, PeakWorkers: 3,
-		}, Frontdoor: &FrontdoorProfile{
+		Experiments: []Experiment{{ID: "x", Frontdoor: &FrontdoorProfile{
 			Shards: 4, Tenants: 3, Submissions: 1000,
 			SubmissionsPerMin: 120000, P50AdmissionMs: 1, P99AdmissionMs: 9,
 			MeanBatch: 12.5, MaxBatch: 64,
@@ -153,9 +149,7 @@ func TestJSONFieldNames(t *testing.T) {
 		`"id"`, `"wall_sec"`, `"decisions"`, `"allocations"`,
 		`"decisions_per_sec"`, `"allocations_per_sec"`,
 		`"plan_cache_hits"`, `"plan_cache_misses"`, `"plan_cache_hit_rate"`,
-		`"num_cpu"`, `"scale"`, `"points"`, `"workers"`, `"jobs_per_sec"`,
-		`"speedup"`, `"usl_sigma"`, `"usl_kappa"`, `"usl_peak_workers"`,
-		`"frontdoor"`, `"shards"`, `"tenants"`, `"submissions"`,
+		`"num_cpu"`, `"frontdoor"`, `"shards"`, `"tenants"`, `"submissions"`,
 		`"submissions_per_min"`, `"p50_admission_ms"`, `"p99_admission_ms"`,
 		`"mean_batch"`, `"max_batch"`, `"rate_limited"`, `"quota_rejected"`,
 		`"rebalanced"`,
@@ -163,5 +157,37 @@ func TestJSONFieldNames(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("BENCH.json missing field %s", want)
 		}
+	}
+}
+
+// TestReadCommittedTrajectory: every report in the committed perf history
+// still decodes, including lines written before a field's producer was
+// deleted.
+func TestReadCommittedTrajectory(t *testing.T) {
+	f, err := os.Open("../../BENCH_history/trajectory.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	lines := 0
+	for sc.Scan() {
+		var line struct {
+			Report json.RawMessage `json:"report"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("line %d: %v", lines+1, err)
+		}
+		if _, err := Read(bytes.NewReader(line.Report)); err != nil {
+			t.Errorf("line %d: %v", lines+1, err)
+		}
+		lines++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if lines == 0 {
+		t.Fatal("trajectory has no lines")
 	}
 }

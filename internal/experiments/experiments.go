@@ -34,10 +34,6 @@ type Table struct {
 	// Metrics carries machine-readable scalars alongside the rendered rows;
 	// efbench folds them into the experiment's BENCH.json record.
 	Metrics map[string]float64
-	// Scale is the parallel-simulator self-profile (worker sweep + USL fit);
-	// only the scale experiment sets it. efbench copies it into the
-	// experiment's BENCH.json record (efbench/3).
-	Scale *bench.ScaleProfile
 	// Frontdoor is the admission-tier load profile; only the frontdoor
 	// experiment sets it. efbench copies it into the experiment's
 	// BENCH.json record (efbench/4).

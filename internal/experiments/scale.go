@@ -3,108 +3,55 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/elasticflow/elasticflow/internal/bench"
 	"github.com/elasticflow/elasticflow/internal/core"
 	"github.com/elasticflow/elasticflow/internal/sim"
 	"github.com/elasticflow/elasticflow/internal/trace"
+	"github.com/elasticflow/elasticflow/internal/validate"
 )
 
 func init() {
 	Registry["scale"] = Scale
 }
 
-// scaleWorkerSweep is the worker counts the scale experiment profiles. The
-// 1-worker point is the serial engine and the speedup normalization; the
-// sweep feeds the USL fit and the two gated metrics (jobs_per_sec_w8,
-// speedup_w8).
-var scaleWorkerSweep = []int{1, 2, 4, 8}
-
-// Scale is the parallel simulator's self-profile: the same Philly-scale
-// trace (2,048 GPUs; ~1M jobs at full scale, a seeded prefix under -quick)
-// replayed once per worker count, recording trace jobs simulated per
-// wall-clock second. The sweep is summarized by a Universal Scaling Law fit
-// — C(p) = p / (1 + σ(p−1) + κ·p(p−1)) — whose σ (contention) and κ
-// (coherency) coefficients say where the sharded engine stops scaling, and
-// whose peak √((1−σ)/κ) predicts the worker count past which more shards
-// hurt. Wall time comes from the injected Options.Clock; with none the rate
-// columns read zero but the runs (and the byte-identity cross-check between
-// worker counts) still execute.
-//
-// Every run's deadline satisfactory ratio is compared against the 1-worker
-// run's: the parallel engine guarantees byte-identical Results at every
-// worker count (internal/sim oracle tests), so a mismatch here is a
-// determinism regression caught in the benchmark itself.
+// Scale is the simulator's self-profile: the Philly-scale trace (2,048 GPUs;
+// ~1M jobs at full scale, a seeded prefix under -quick) replayed once through
+// the serial event loop, recording trace jobs simulated per wall-clock
+// second (the gated jobs_per_sec metric). The result must pass
+// validate.Audit, so a throughput figure is never reported for an
+// inconsistent simulation. Wall time comes from the injected Options.Clock;
+// with none the rate columns read zero but the run and its audit still
+// execute.
 func Scale(o Options) (Table, error) {
 	e := newEnv()
-	jobsN := o.scale(1_000_000, 400)
-	tr := trace.PhillyScale(jobsN, 977)
-
-	t := Table{
+	tr := trace.PhillyScale(o.scale(1_000_000, 400), 977)
+	jobs, err := tr.Jobs(e.prof, e.est)
+	if err != nil {
+		return Table{}, err
+	}
+	start := o.now()
+	res, err := sim.Run(sim.Config{
+		Topology:  topoFor(tr.GPUs),
+		Scheduler: core.NewDefault(),
+		// ~1M arrivals span ~100 simulated days; leave the runaway guard
+		// far above that but still finite.
+		MaxSimSec: 5e8,
+	}, jobs, tr.Name)
+	if err != nil {
+		return Table{}, err
+	}
+	wall := o.now().Sub(start).Seconds()
+	if violations := validate.Audit(res, tr.GPUs); len(violations) > 0 {
+		return Table{}, fmt.Errorf("scale: %s failed the invariant audit: %s (+%d more)",
+			tr.Name, violations[0], len(violations)-1)
+	}
+	jps := perSec(len(jobs), wall)
+	return Table{
 		ID:      "scale",
-		Title:   "Parallel simulator scaling (Philly-scale trace, sharded event loop)",
-		Columns: []string{"workers", "jobs", "DSR", "sim wall (s)", "jobs/sec", "speedup"},
-		Metrics: map[string]float64{},
-	}
-
-	var baseJPS, baseDSR float64
-	speedups := make([]float64, len(scaleWorkerSweep))
-	points := make([]bench.ScalePoint, 0, len(scaleWorkerSweep))
-	for i, w := range scaleWorkerSweep {
-		// The simulator mutates jobs in place, so each run rematerializes
-		// them from the (deterministic) trace.
-		jobs, err := tr.Jobs(e.prof, e.est)
-		if err != nil {
-			return Table{}, err
-		}
-		start := o.now()
-		res, err := sim.Run(sim.Config{
-			Topology:  topoFor(tr.GPUs),
-			Scheduler: core.NewDefault(),
-			Workers:   w,
-			// ~1M arrivals span ~100 simulated days; leave the runaway
-			// guard far above that but still finite.
-			MaxSimSec: 5e8,
-		}, jobs, tr.Name)
-		if err != nil {
-			return Table{}, err
-		}
-		wall := o.now().Sub(start).Seconds()
-		dsr := res.DeadlineSatisfactoryRatio()
-		jps := perSec(len(jobs), wall)
-
-		speedup := 0.0
-		if i == 0 {
-			baseJPS, baseDSR = jps, dsr
-			speedup = 1
-		} else {
-			if dsr != baseDSR {
-				return Table{}, fmt.Errorf("scale: DSR diverged at %d workers: %v (serial %v) — parallel determinism regression", w, dsr, baseDSR)
-			}
-			if baseJPS > 0 {
-				speedup = jps / baseJPS
-			}
-		}
-		speedups[i] = speedup
-
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", w), fmt.Sprintf("%d", len(jobs)),
-			f3(dsr), f2(wall), f2(jps), f2(speedup),
-		})
-		t.Metrics[fmt.Sprintf("jobs_per_sec_w%d", w)] = jps
-		points = append(points, bench.ScalePoint{Workers: w, JobsPerSec: jps, Speedup: speedup})
-	}
-
-	sigma, kappa := FitUSL(scaleWorkerSweep, speedups)
-	peak := USLPeak(sigma, kappa)
-	last := scaleWorkerSweep[len(scaleWorkerSweep)-1]
-	t.Metrics[fmt.Sprintf("speedup_w%d", last)] = speedups[len(speedups)-1]
-	t.Metrics["usl_sigma"] = sigma
-	t.Metrics["usl_kappa"] = kappa
-	t.Metrics["usl_peak_workers"] = peak
-	t.Scale = &bench.ScaleProfile{Points: points, Sigma: sigma, Kappa: kappa, PeakWorkers: peak}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("USL fit: σ=%.4f (contention), κ=%.5f (coherency); fitted peak ≈ %.1f workers", sigma, kappa, peak),
-		"identical DSR across worker counts is asserted per run; byte-level Result/span identity is enforced by the internal/sim oracle tests",
-	)
-	return t, nil
+		Title:   "Simulator throughput (Philly-scale trace, serial event loop)",
+		Columns: []string{"jobs", "DSR", "sim wall (s)", "jobs/sec"},
+		Rows: [][]string{{
+			fmt.Sprintf("%d", len(jobs)), f3(res.DeadlineSatisfactoryRatio()), f2(wall), f2(jps),
+		}},
+		Metrics: map[string]float64{"jobs_per_sec": jps},
+	}, nil
 }

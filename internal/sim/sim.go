@@ -40,17 +40,8 @@ type Config struct {
 	// SampleSec adds periodic timeline samples between events (0 = only
 	// at events).
 	SampleSec float64
-	// MaxSimSec aborts runaway simulations (default 120 days). The abort is
-	// shard-aware: in a parallel run the coordinator owns the clock, every
-	// shard operation is a synchronous fork/join, and Run reaps the shard
-	// goroutines on the error path, so a runaway simulation can never leave
-	// a worker stranded at the barrier (TestMaxSimSecAbortsParallelRun).
+	// MaxSimSec aborts runaway simulations (default 120 days).
 	MaxSimSec float64
-	// Workers shards the engine's per-event scans across this many
-	// goroutines synchronized at scheduling-epoch barriers (parallel.go).
-	// 0 or 1 runs the serial loop. The Result — jobs, samples, events,
-	// span trail — is byte-identical at every worker count.
-	Workers int
 	// Failures injects node failures (§4.4): while a server is down its
 	// GPUs are unavailable, and the jobs placed on it checkpoint-restore
 	// onto the remaining capacity.
@@ -222,13 +213,6 @@ type engine struct {
 	failEvents []failEvent
 	nextFail   int
 	downGPUs   int
-
-	// pool fans the per-event scans out across shard goroutines when
-	// Config.Workers > 1; nil runs them serially. The serial path keeps its
-	// own scratch so both paths share the flag/value-fold code.
-	pool        *pool
-	doneScratch []bool
-	effScratch  []float64
 }
 
 // failEvent is a failure transition.
@@ -296,12 +280,6 @@ func Run(cfg Config, jobs []*job.Job, traceName string) (Result, error) {
 		)
 	}
 	sort.Slice(e.failEvents, func(i, k int) bool { return e.failEvents[i].at < e.failEvents[k].at })
-	if cfg.Workers > 1 {
-		e.pool = newPool(cfg.Workers, e.stats)
-		// Reap the shard goroutines on every exit — normal completion,
-		// MaxSimSec abort, or a scheduler panic unwinding through run().
-		defer e.pool.stop()
-	}
 	if err := e.run(); err != nil {
 		return Result{}, err
 	}
@@ -411,9 +389,33 @@ func (e *engine) nextEvent() (float64, evKind) {
 	return t, kind
 }
 
+// advanceAll accrues dt seconds of progress and GPU time on every active job.
+func (e *engine) advanceAll(dt float64) {
+	if dt <= 0 {
+		return
+	}
+	for _, j := range e.active {
+		j.Advance(e.now, dt)
+		if j.GPUs > 0 {
+			e.stats[j.ID].GPUSeconds += float64(j.GPUs) * dt
+		}
+	}
+}
+
+// minFinish returns the earliest predicted completion over the active set
+// (+Inf when none).
+func (e *engine) minFinish() float64 {
+	min := math.Inf(1)
+	for _, j := range e.active {
+		if f := predictFinish(j, e.now); f < min {
+			min = f
+		}
+	}
+	return min
+}
+
 // predictFinish predicts job j's completion under its current allocation at
-// simulated time now. A free function so shard goroutines can call it
-// without touching engine state.
+// simulated time now.
 func predictFinish(j *job.Job, now float64) float64 {
 	if j.GPUs <= 0 {
 		return math.Inf(1)
@@ -430,16 +432,12 @@ func predictFinish(j *job.Job, now float64) float64 {
 }
 
 // completeDone retires all active jobs that reached their termination
-// condition. The done scan fans out across shards; retirement — cluster
-// release, events, spans, metrics — stays on the coordinator in canonical
-// admission order, so the emitted stream is identical at every worker count.
-// Returns whether anything completed.
+// condition, in admission order. Returns whether anything completed.
 func (e *engine) completeDone() bool {
-	flags := e.doneFlags()
 	changed := false
 	kept := e.active[:0]
-	for i, j := range e.active {
-		if !flags[i] {
+	for _, j := range e.active {
+		if !j.Done() {
 			kept = append(kept, j)
 			continue
 		}
@@ -703,23 +701,18 @@ func (e *engine) findActive(id string) *job.Job {
 }
 
 // sample records a timeline point with the current utilization and Eq. 8
-// cluster efficiency. The per-job efficiency evaluations fan out across
-// shards into an index-aligned scratch; the floating-point fold below runs
-// on the coordinator in canonical order, because float addition is not
-// associative and a per-shard partial sum would break byte-identity with
-// the serial loop.
+// cluster efficiency.
 func (e *engine) sample() {
-	effs := e.effValues()
 	used := 0
 	eff := 0.0
 	running := 0
-	for i, j := range e.active {
+	for _, j := range e.active {
 		if j.GPUs <= 0 {
 			continue
 		}
 		running++
 		used += j.GPUs
-		eff += effs[i]
+		eff += jobEfficiency(j)
 	}
 	e.cfg.Obs.SetUsedGPUs(used)
 	e.cfg.Obs.SetClusterEfficiency(eff / float64(e.g))
@@ -738,7 +731,7 @@ func (e *engine) sample() {
 // jobEfficiency is job j's contribution to Eq. 8: its current throughput
 // normalized by its single-GPU throughput. When the memory floor prevents a
 // single-GPU measurement, the per-GPU throughput at the minimum feasible
-// count approximates it. A free function so shard goroutines can call it.
+// count approximates it.
 func jobEfficiency(j *job.Job) float64 {
 	t1 := j.Curve.At(1)
 	if t1 <= 0 {

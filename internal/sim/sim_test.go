@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/core"
@@ -234,6 +235,33 @@ func TestRunStarvationDetected(t *testing.T) {
 	}
 	if res.Jobs[0].Finished {
 		t.Error("starved job reported finished")
+	}
+}
+
+// wakeOnly admits everything, allocates nothing, and asks to be woken again
+// 50 simulated seconds later — a scheduler that marches the clock forever
+// without finishing a job, the shape of a runaway simulation.
+type wakeOnly struct{}
+
+func (wakeOnly) Name() string                                  { return "wake-only" }
+func (wakeOnly) Admit(float64, *job.Job, []*job.Job, int) bool { return true }
+func (wakeOnly) Schedule(now float64, _ []*job.Job, _ int) sched.Decision {
+	return sched.Decision{Alloc: map[string]int{}, Wake: now + 50}
+}
+
+// TestMaxSimSecAborts: a runaway simulation returns the MaxSimSec error
+// instead of looping forever.
+func TestMaxSimSecAborts(t *testing.T) {
+	_, err := Run(Config{
+		Topology:  smallTopology(),
+		Scheduler: wakeOnly{},
+		MaxSimSec: 5000,
+	}, []*job.Job{simpleJob("a", 100, 0, 1e9)}, "runaway")
+	if err == nil {
+		t.Fatal("runaway simulation did not abort")
+	}
+	if !strings.Contains(err.Error(), "exceeded MaxSimSec=5000") {
+		t.Errorf("abort error = %q, want the MaxSimSec runaway error", err)
 	}
 }
 

@@ -5,7 +5,7 @@
 GO ?= go
 
 # The wall-time-gated benchmarks CI compares between the PR base and head.
-BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline
+BENCH_GATE = BenchmarkFig6aTestbedSmall|BenchmarkFig7aAllocationTimeline|BenchmarkScaleSweep
 
 .PHONY: all build test vet lint race fuzz-smoke obs-check faults-check store-check trace-check transfer-check sim-check front-check ci ci-sync-check bench bench-base
 

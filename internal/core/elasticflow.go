@@ -108,12 +108,7 @@ type ElasticFlow struct {
 // configuration: 60-second slots with power-of-two buddy-compatible
 // allocations.
 func New(opts Options) *ElasticFlow {
-	o := opts
-	if !o.PowerOfTwo {
-		// Distinguish "explicitly unit mode" only via the option the
-		// caller set; the default is power-of-two.
-	}
-	return &ElasticFlow{opts: o.withDefaults()}
+	return &ElasticFlow{opts: opts.withDefaults()}
 }
 
 // NewDefault returns a scheduler with the paper's default configuration.
@@ -132,6 +127,12 @@ func (e *ElasticFlow) Name() string { return "elasticflow" }
 
 // SlotSec returns the planning slot duration.
 func (e *ElasticFlow) SlotSec() float64 { return e.opts.SlotSec }
+
+// newFiller returns an empty filler for capacity g in the scheduler's slot
+// length and allocation discipline.
+func (e *ElasticFlow) newFiller(g int) *plan.Filler {
+	return plan.NewFiller(g, e.opts.SlotSec, e.opts.PowerOfTwo)
+}
 
 // demand converts an SLO job's state at time now into a filling demand
 // bounded by its deadline.
@@ -205,7 +206,7 @@ func (e *ElasticFlow) demandBestEffort(j *job.Job) plan.Demand {
 	return d
 }
 
-// sloJobs returns the SLO jobs of active sorted by deadline (ties by ID for
+// splitJobs returns the SLO jobs of active sorted by deadline (ties by ID for
 // determinism), and the best-effort/soft-deadline jobs in submission order.
 func splitJobs(active []*job.Job) (slo, be []*job.Job) {
 	for _, j := range active {
@@ -534,7 +535,7 @@ func (e *ElasticFlow) feasibleSet(now float64, active []*job.Job, cand *job.Job,
 		skip = cand.ID
 	}
 	slo, _ := splitJobs(jobs)
-	recs, _ := e.fillPass(now, slo, nil, skip, g)
+	recs := e.fillPass(now, slo, nil, skip, g)
 	out := make(map[string]bool, len(slo))
 	var candFill plan.Allocation
 	for i := range recs {
@@ -556,7 +557,7 @@ func (e *ElasticFlow) quotaOK(j *job.Job) bool {
 // have rejected) receive their maximal best-effort plan.
 func (e *ElasticFlow) MinimumSatisfactoryShare(now float64, active []*job.Job, g int) map[string]plan.Allocation {
 	slo, _ := splitJobs(active)
-	f := plan.NewFiller(g, e.opts.SlotSec, e.opts.PowerOfTwo)
+	f := e.newFiller(g)
 	out := make(map[string]plan.Allocation, len(slo))
 	for _, j := range slo {
 		a := f.Fill(e.demand(j, now))
@@ -571,13 +572,25 @@ type prioJob struct {
 	j          *job.Job
 	d          plan.Demand
 	bestEffort bool            // scheduled without a deadline guarantee
-	cur        plan.Allocation // committed allocation
-	alt        plan.Allocation // probe: one level more at slot 0
-	nextStep   int             // slot-0 worker count of the probe
+	cur        plan.Allocation // current plan; its slot 0 counts in the greedy phase's usage
+	owned      bool            // cur.Levels is this entry's own copy, not a plan-cache record's
+	alt        plan.Raise      // probe: one step more at slot 0
 	priority   float64         // GPU time saved by the probe
 	won        int             // spare-GPU rounds won (adopted probes)
 	late       bool            // admitted job racing its expired deadline
 	index      int
+}
+
+// adopt replaces p's plan with its probe. The first adoption copies the
+// levels, which may share their backing array with a plan-cache record;
+// later adoptions edit that copy in place.
+func (p *prioJob) adopt() {
+	if !p.owned {
+		p.cur.Levels = append([]int(nil), p.cur.Levels...)
+		p.owned = true
+	}
+	p.cur = p.alt.Apply(p.cur.Levels)
+	p.won++
 }
 
 type prioQueue []*prioJob
@@ -624,20 +637,21 @@ func (e *ElasticFlow) nextStep(j *job.Job, cur int) int {
 // probe computes the marginal-return candidate for p's job: the current
 // plan with slot 0 raised to the next step (Algorithm 2 lines 5–10; the
 // tail is kept rather than minimally re-filled so the probe is a strict
-// improvement — see plan.RaiseSlot0). It requires p.cur to be uncommitted
-// from f during the call; the caller manages commit state. Returns false
-// when no beneficial probe exists.
-func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
-	step := e.nextStep(p.j, p.cur.GPUsAt(0))
+// improvement — see plan.RaiseSlot0). free0 is the slot-0 capacity free
+// with p.cur released; f supplies the slot length and allocation
+// discipline. Returns false when no beneficial probe exists.
+func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob, free0 int) bool {
+	cur0 := p.cur.GPUsAt(0)
+	step := e.nextStep(p.j, cur0)
 	if step == 0 {
 		return false
 	}
-	if step-p.cur.GPUsAt(0) > f.FreeAt(0) {
+	if step-cur0 > free0 {
 		return false
 	}
-	alt := f.RaiseSlot0(p.d, p.cur, step)
-	if alt.GPUsAt(0) != step {
-		// The pinned level was clamped away (capacity or feasibility):
+	alt := f.RaiseSlot0(&p.d, p.cur.Levels, step, free0)
+	if alt.Slot0 != step {
+		// The raised level was clamped away (capacity or feasibility):
 		// no usable probe.
 		return false
 	}
@@ -648,7 +662,7 @@ func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
 	// stall for are churn, and churn is what erodes deadline guarantees.
 	need := 1e-12
 	started := p.j.GPUs > 0 || p.j.DoneIters > 0
-	if started && p.cur.GPUsAt(0) == p.j.GPUs && step != p.j.GPUs {
+	if started && cur0 == p.j.GPUs && step != p.j.GPUs {
 		// A guaranteed job that has already consumed its SafetyRescales
 		// budget stops volunteering for expansions: what margin remains
 		// is reserved for mandatory replans (contention, failures).
@@ -667,7 +681,6 @@ func (e *ElasticFlow) probe(f *plan.Filler, p *prioJob) bool {
 		return false
 	}
 	p.alt = alt
-	p.nextStep = step
 	p.priority = p.cur.GPUTime - alt.GPUTime
 	return true
 }
@@ -772,7 +785,7 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 	// least-bad outcome is minimal lateness (§4.4 treats expired deadlines
 	// like soft deadlines — still worth finishing, and as soon as
 	// possible). The recovery plan stays ahead of best-effort work.
-	recs, f := e.fillPass(now, slo, be, "", g)
+	recs := e.fillPass(now, slo, be, "", g)
 
 	entries := make([]*prioJob, 0, len(active))
 	late := make([]*prioJob, 0, 2)
@@ -790,45 +803,50 @@ func (e *ElasticFlow) allocate(now float64, active []*job.Job, g int) ([]*prioJo
 		entries = append(entries, &prioJob{j: j, d: r.d, cur: r.fill, bestEffort: true})
 	}
 
+	// The greedy phase only raises slot 0 (and trims tails), so the only
+	// grid state it reads or can overcommit is slot-0 usage: one integer,
+	// the sum of every committed plan's slot 0. The filler supplies the
+	// probes' slot length and discipline; its grid stays empty.
+	used0 := 0
+	for _, p := range entries {
+		used0 += p.cur.GPUsAt(0)
+	}
+	f := e.newFiller(g)
+
 	// Lines 5–11: initial marginal returns.
 	q := &prioQueue{}
 	for _, p := range entries {
-		f.Uncommit(p.cur)
-		ok := e.probe(f, p)
-		f.Commit(p.cur)
-		if ok {
+		if e.probe(f, p, g-used0+p.cur.GPUsAt(0)) {
 			heap.Push(q, p)
 		}
 	}
 
 	// Lines 12–24: greedy adoption with lazy re-evaluation. Each adoption
-	// strictly increases committed slot-0 usage, bounding the loop.
+	// strictly increases slot-0 usage, bounding the loop.
 	adoptions := 0
-	for q.Len() > 0 && f.FreeAt(0) > 0 {
+	for q.Len() > 0 && used0 < g {
 		p := heap.Pop(q).(*prioJob)
 		// Re-validate against current usage (other adoptions may have
 		// consumed the capacity this probe assumed).
-		f.Uncommit(p.cur)
-		if !e.probe(f, p) {
-			f.Commit(p.cur)
+		cur0 := p.cur.GPUsAt(0)
+		if !e.probe(f, p, g-used0+cur0) {
 			continue
 		}
 		if q.Len() > 0 && p.priority < (*q)[0].priority {
 			// Stale ordering: someone else is now better; requeue.
-			f.Commit(p.cur)
 			heap.Push(q, p)
 			continue
 		}
 		// Adopt the probe.
-		p.cur = p.alt
-		p.won++
+		used0 += p.alt.Slot0 - cur0
+		if used0 > g {
+			// Programming error: probes are clamped to the free capacity.
+			panic(fmt.Sprintf("core: slot 0 overcommitted: %d > %d", used0, g))
+		}
+		p.adopt()
 		adoptions++
-		f.Commit(p.cur)
 		// Compute the next probe for this job.
-		f.Uncommit(p.cur)
-		ok := e.probe(f, p)
-		f.Commit(p.cur)
-		if ok {
+		if e.probe(f, p, g-used0+p.cur.GPUsAt(0)) {
 			heap.Push(q, p)
 		}
 	}

@@ -13,16 +13,19 @@ import (
 // minimum-satisfactory-share phase) start from. The pass is a fold: jobs are
 // filled in a deterministic order against a Filler whose state depends only
 // on the jobs already processed, so a pass whose first k jobs are unchanged
-// can restore the Filler snapshot taken after job k and fill only the tail.
+// can rebuild the Filler grid after job k and fill only the tail. Each pass
+// keeps one snapshot, of its final grid; the grid is an integer sum of the
+// records' commits, so any prefix position is rebuilt exactly from it (see
+// fillState.restoreAt).
 //
 // Correctness rests on three properties:
 //   - Every input that can change a job's fill is folded into its
 //     fingerprint (mutable planning fields plus the scaling curve's content
 //     hash) or into the cache key (time, capacity, generation); scheduler
 //     options are immutable after construction.
-//   - Snapshots copy the exact committed integers, and resumed passes run
-//     the same plan.Filler operations in the same order as a from-scratch
-//     pass, so cached and uncached decisions are byte-identical (asserted by
+//   - Rebuilt grids hold the exact committed integers, and resumed passes
+//     run the same Fill operations against them as a from-scratch pass, so
+//     cached and uncached decisions are byte-identical (asserted by
 //     TestPlanCacheDeterminism and the sim golden test).
 //   - The one asymmetry between the callers — feasibleSet leaves an
 //     unsatisfiable *candidate* uncommitted while every other unsatisfiable
@@ -89,7 +92,9 @@ const (
 	fillBE
 )
 
-// fillRec is one memoized position of a fill pass.
+// fillRec is one memoized position of a fill pass. Its allocations are
+// shared with every pass and allocation round that reuses the position, so
+// nothing may modify their levels.
 type fillRec struct {
 	id        string
 	fp        uint64
@@ -100,17 +105,43 @@ type fillRec struct {
 	satisfied bool
 }
 
+// committed returns the allocation r's position committed to the grid: the
+// fill, or the recovery plan of an unsatisfied SLO job (empty for a skipped
+// admission candidate).
+func (r *fillRec) committed() plan.Allocation {
+	if r.satisfied || r.mode == fillBE {
+		return r.fill
+	}
+	return r.earliest
+}
+
 // fillState is one memoized fill pass: the records in processing order plus
-// Filler snapshots around them — snaps[i] is the committed usage before
-// position i, so len(snaps) == len(recs)+1 and snaps[len(recs)] seeds the
-// allocator's greedy phase.
+// a snapshot of the grid after the last of them.
 type fillState struct {
 	now    float64
 	g      int
 	gen    uint64
 	skipID string // candidate whose unsatisfied fill was not committed ("" = none)
 	recs   []fillRec
-	snaps  []plan.Snapshot
+	final  plan.Snapshot // committed usage after every record
+}
+
+// restoreAt positions f, a fresh filler, at the committed usage before
+// position p of s. The grid is an integer sum of the records' commits, so
+// either walk is exact: restore the final snapshot and uncommit positions p
+// onward when that suffix is the shorter one, otherwise commit positions 0
+// to p−1 onto the empty grid.
+func (s *fillState) restoreAt(f *plan.Filler, p int) {
+	if len(s.recs)-p < p {
+		f.Restore(s.final)
+		for i := len(s.recs) - 1; i >= p; i-- {
+			f.Uncommit(s.recs[i].committed())
+		}
+		return
+	}
+	for i := 0; i < p; i++ {
+		f.Commit(s.recs[i].committed())
+	}
 }
 
 // fingerprintJob hashes everything that can change how a job fills at a
@@ -194,9 +225,9 @@ func matchPrefix(s *fillState, fps []uint64, slo, be []*job.Job, skipCand string
 // progressive-filling pass over slo (deadline order) then be (submission
 // order) against capacity g at time now. skipCand, when non-empty, names the
 // admission candidate whose unsatisfiable recovery plan must not reserve
-// capacity. It returns one record per job plus the Filler positioned after
-// the last commit, ready for the greedy spare-capacity phase.
-func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g int) ([]fillRec, *plan.Filler) {
+// capacity. It returns one record per job; the callers read only the
+// records, so a full hit touches no grid at all.
+func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string, g int) []fillRec {
 	n := len(slo) + len(be)
 	fps := make([]uint64, n)
 	for i, j := range slo {
@@ -205,13 +236,12 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 	for i, j := range be {
 		fps[len(slo)+i] = fingerprintJob(j, fillBE)
 	}
-	f := plan.NewFiller(g, e.opts.SlotSec, e.opts.PowerOfTwo)
 
 	if e.opts.DisablePlanCache {
-		st := &fillState{now: now, g: g, skipID: skipCand}
-		e.extendFill(st, f, now, slo, be, skipCand, fps, false)
+		st := &fillState{now: now, g: g, skipID: skipCand, recs: make([]fillRec, 0, n)}
+		e.extendFill(st, e.newFiller(g), now, slo, be, skipCand, fps)
 		e.countPlanCache(0, n)
-		return st.recs, f
+		return st.recs
 	}
 
 	e.mu.Lock()
@@ -232,40 +262,38 @@ func (e *ElasticFlow) fillPass(now float64, slo, be []*job.Job, skipCand string,
 	}
 
 	if best != nil && bestP == n {
-		// Full hit: every position reusable; reposition the filler after
-		// the n-th commit. (The cached pass may extend further — a cached
-		// allocate pass serves an admission query over its SLO prefix.)
-		f.Restore(best.snaps[n])
+		// Full hit: every position reusable. (The cached pass may extend
+		// further — a cached allocate pass serves an admission query over
+		// its SLO prefix.)
 		if best != e.states[0] {
 			e.states[0], e.states[1] = best, e.states[0]
 		}
 		e.countPlanCache(n, 0)
-		return best.recs[:n], f
+		return best.recs[:n]
 	}
 
-	st := &fillState{now: now, g: g, gen: e.gen, skipID: skipCand}
+	st := &fillState{now: now, g: g, gen: e.gen, skipID: skipCand, recs: make([]fillRec, 0, n)}
+	f := e.newFiller(g)
 	if best != nil && bestP > 0 {
-		// Three-index slices: extending the new pass must not clobber the
-		// shared backing arrays of the donor state.
-		st.recs = best.recs[:bestP:bestP]
-		st.snaps = best.snaps[: bestP+1 : bestP+1]
-		f.Restore(st.snaps[bestP])
+		// Copy the reused records: extending the new pass must not clobber
+		// the donor state's array. (Their allocations stay shared.)
+		st.recs = append(st.recs, best.recs[:bestP]...)
+		best.restoreAt(f, bestP)
 	} else {
 		bestP = 0
-		st.snaps = []plan.Snapshot{f.Snapshot()}
 	}
-	e.extendFill(st, f, now, slo, be, skipCand, fps, true)
+	e.extendFill(st, f, now, slo, be, skipCand, fps)
+	st.final = f.Snapshot()
 	e.states[0], e.states[1] = st, e.states[0]
 	e.countPlanCache(bestP, n-bestP)
-	return st.recs, f
+	return st.recs
 }
 
 // extendFill fills the positions st does not cover yet, committing per the
-// fill modes and (when snapshot is set) snapshotting after every job. The
-// loop body is the original pre-cache pass verbatim; resumed and
-// from-scratch passes therefore execute identical Filler operation
-// sequences.
-func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64, snapshot bool) {
+// fill modes. The loop body is the original pre-cache pass verbatim; resumed
+// and from-scratch passes therefore execute identical Filler operation
+// sequences from equal grids.
+func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo, be []*job.Job, skipCand string, fps []uint64) {
 	for i := len(st.recs); i < len(slo)+len(be); i++ {
 		var r fillRec
 		if i < len(slo) {
@@ -291,9 +319,6 @@ func (e *ElasticFlow) extendFill(st *fillState, f *plan.Filler, now float64, slo
 			r = fillRec{id: j.ID, fp: fps[i], mode: fillBE, d: d, fill: a, satisfied: a.Satisfied}
 		}
 		st.recs = append(st.recs, r)
-		if snapshot {
-			st.snaps = append(st.snaps, f.Snapshot())
-		}
 	}
 }
 

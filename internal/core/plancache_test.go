@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/elasticflow/elasticflow/internal/job"
+	"github.com/elasticflow/elasticflow/internal/plan"
 	"github.com/elasticflow/elasticflow/internal/throughput"
 )
 
@@ -198,5 +199,174 @@ func TestPlanCacheHitsSteadyState(t *testing.T) {
 	hits, misses = PlanCacheStats()
 	if hits != 0 || misses != 6 {
 		t.Errorf("after invalidation: hits=%d misses=%d, want 0/6", hits, misses)
+	}
+}
+
+// randomJobs draws a mixed job set at time now: SLO jobs with loose, tight
+// and infeasible deadlines (so passes contain satisfied fills and recovery
+// plans), some already running or charged rescales, and best-effort jobs.
+func randomJobs(rng *rand.Rand, n int, now float64) []*job.Job {
+	curves := []throughput.Curve{
+		throughput.MustCurve(map[int]float64{1: 1, 2: 1.5, 4: 2}),
+		throughput.MustCurve(map[int]float64{1: 1, 2: 1.8, 4: 3, 8: 4.5}),
+		throughput.MustCurve(map[int]float64{1: 1, 2: 1.1, 4: 1.15}),
+	}
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		j := &job.Job{
+			ID:                 fmt.Sprintf("r%03d", i),
+			TotalIters:         50 + rng.Float64()*900,
+			DoneIters:          rng.Float64() * 40,
+			SubmitTime:         now - rng.Float64()*600,
+			Deadline:           now + 30 + rng.Float64()*4000,
+			Class:              job.SLO,
+			Curve:              curves[rng.Intn(len(curves))],
+			MinGPUs:            1 + rng.Intn(2),
+			RescaleOverheadSec: 10,
+			Rescales:           rng.Intn(3),
+		}
+		if rng.Intn(3) == 0 {
+			j.GPUs = 1 << rng.Intn(3)
+		}
+		if rng.Intn(4) == 0 {
+			j.Class = job.BestEffort
+			j.Deadline = math.Inf(1)
+		}
+		jobs[i] = j
+	}
+	return jobs
+}
+
+// renderPlans renders a Plans result in ID order.
+func renderPlans(plans map[string]plan.Allocation) string {
+	ids := make([]string, 0, len(plans))
+	for id := range plans {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	var out []byte
+	for _, id := range ids {
+		p := plans[id]
+		out = fmt.Appendf(out, "%s levels=%v fin=%d frac=%v gputime=%v sat=%v\n",
+			id, p.Levels, p.FinishSlot, p.FinishFrac, p.GPUTime, p.Satisfied)
+	}
+	return string(out)
+}
+
+// TestGreedyAdoptionLeavesCacheIntact: the greedy phase edits an adopted
+// job's plan in place after copying it once, and the copy is what keeps the
+// plan cache's shared records intact. Plans → Schedule → Plans at one
+// decision time must read the same with the cache on (later calls are full
+// hits on records an earlier round adopted from) as with it off, and every
+// slot's summed plan usage must stay within capacity.
+func TestGreedyAdoptionLeavesCacheIntact(t *testing.T) {
+	adopted := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := float64(rng.Intn(5000))
+		jobs := randomJobs(rng, 2+rng.Intn(14), now)
+		g := 8 << rng.Intn(3)
+		unit := seed%5 == 0
+		cached := New(Options{PowerOfTwo: !unit})
+		cold := New(Options{PowerOfTwo: !unit, DisablePlanCache: true})
+
+		var trail [2]string
+		for k, e := range []*ElasticFlow{cached, cold} {
+			first := renderPlans(e.Plans(now, jobs, g))
+			dec := e.Schedule(now, jobs, g)
+			plans := e.Plans(now, jobs, g)
+			second := renderPlans(plans)
+			if first != second {
+				t.Fatalf("seed %d (cache %v): Plans changed across Schedule:\n%s\nvs\n%s", seed, k == 0, first, second)
+			}
+			ids := make([]string, 0, len(dec.Alloc))
+			for id := range dec.Alloc {
+				ids = append(ids, id)
+			}
+			sort.Strings(ids)
+			var alloc []byte
+			for _, id := range ids {
+				alloc = fmt.Appendf(alloc, "%s=%d ", id, dec.Alloc[id])
+			}
+			trail[k] = first + string(alloc) + fmt.Sprint(dec.Wake)
+
+			horizon := 0
+			for _, p := range plans {
+				horizon = max(horizon, len(p.Levels))
+			}
+			for s := 0; s < horizon; s++ {
+				sum := 0
+				for _, p := range plans {
+					sum += p.GPUsAt(s)
+				}
+				if sum > g {
+					t.Fatalf("seed %d: slot %d plans %d GPUs > capacity %d", seed, s, sum, g)
+				}
+			}
+			if k == 0 {
+				for id, a := range e.MinimumSatisfactoryShare(now, jobs, g) {
+					if plans[id].GPUsAt(0) != a.GPUsAt(0) {
+						adopted++
+					}
+				}
+			}
+		}
+		if trail[0] != trail[1] {
+			t.Fatalf("seed %d: cached and from-scratch rounds differ:\n%s\nvs\n%s", seed, trail[0], trail[1])
+		}
+	}
+	if adopted == 0 {
+		t.Fatal("no workload adopted a spare-GPU probe; the test exercises nothing")
+	}
+}
+
+// TestRestoreAtMatchesScratchPass: for randomized fill passes — satisfied
+// fills, recovery plans, a skipped admission candidate, best-effort tails —
+// the grid restoreAt rebuilds at every prefix position p equals the grid a
+// from-scratch pass over the first p jobs leaves, through both the suffix
+// uncommit and the prefix commit walk.
+func TestRestoreAtMatchesScratchPass(t *testing.T) {
+	suffix, prefix := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		now := float64(rng.Intn(5000))
+		g := 8 << rng.Intn(2)
+		e := New(Options{PowerOfTwo: seed%4 != 0})
+		slo, be := splitJobs(randomJobs(rng, 3+rng.Intn(14), now))
+		skip := ""
+		if len(slo) > 0 && rng.Intn(2) == 0 {
+			skip = slo[rng.Intn(len(slo))].ID
+		}
+		e.fillPass(now, slo, be, skip, g)
+		st := e.states[0]
+		n := len(st.recs)
+		for p := 0; p <= n; p++ {
+			got := e.newFiller(g)
+			st.restoreAt(got, p)
+			if n-p < p {
+				suffix++
+			} else {
+				prefix++
+			}
+			want := e.newFiller(g)
+			ps, pb := slo, be[:0]
+			if p <= len(slo) {
+				ps = slo[:p]
+			} else {
+				pb = be[:p-len(slo)]
+			}
+			fps := make([]uint64, p)
+			e.extendFill(&fillState{}, want, now, ps, pb, skip, fps)
+			slots := max(got.Snapshot().Slots(), want.Snapshot().Slots())
+			for s := 0; s < slots; s++ {
+				if got.UsedAt(s) != want.UsedAt(s) {
+					t.Fatalf("seed %d: position %d of %d: slot %d rebuilt %d, from scratch %d",
+						seed, p, n, s, got.UsedAt(s), want.UsedAt(s))
+				}
+			}
+		}
+	}
+	if suffix == 0 || prefix == 0 {
+		t.Fatalf("walks exercised: suffix uncommit %d, prefix commit %d; want both", suffix, prefix)
 	}
 }

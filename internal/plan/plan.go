@@ -117,20 +117,30 @@ func (f *Filler) UsedAt(t int) int {
 // FreeAt returns the free capacity in slot t.
 func (f *Filler) FreeAt(t int) int { return f.G - f.UsedAt(t) }
 
+// ensure extends the usage grid to n slots. It grows the backing array
+// geometrically, so committing a pass of ever-longer plans copies the grid
+// O(log n) times; slots reused from spare capacity are zeroed, since
+// Restore may have left stale counts there.
 func (f *Filler) ensure(n int) {
-	if len(f.used) >= n {
+	old := len(f.used)
+	if old >= n {
 		return
 	}
-	grown := make([]int, n)
+	if n <= cap(f.used) {
+		f.used = f.used[:n]
+		clear(f.used[old:])
+		return
+	}
+	grown := make([]int, n, max(n, 2*cap(f.used)))
 	copy(grown, f.used)
 	f.used = grown
 }
 
 // Snapshot is an immutable copy of a Filler's committed usage: cheap to take
 // (one memcpy) and restore relative to re-running progressive filling. The
-// scheduler's plan cache keys incremental replans on snapshots taken between
-// per-job commits, so probing a candidate does not re-fill the already
-// committed prefix.
+// scheduler's plan cache keeps the snapshot of each fill pass's final grid
+// and rebuilds earlier positions from it by exact integer Uncommits, so
+// resuming a pass does not re-fill the already committed prefix.
 type Snapshot struct {
 	used []int
 }
@@ -178,7 +188,7 @@ func (f *Filler) Uncommit(a Allocation) {
 // clampLevel maps a raw candidate worker count to a feasible one: capped by
 // MaxGPUs, rounded down to a power of two when required, and floored to zero
 // when below MinGPUs.
-func (f *Filler) clampLevel(x int, d Demand) int {
+func (f *Filler) clampLevel(x int, d *Demand) int {
 	if d.MaxGPUs > 0 && x > d.MaxGPUs {
 		x = d.MaxGPUs
 	}
@@ -207,14 +217,7 @@ func (f *Filler) clampLevel(x int, d Demand) int {
 // When no level satisfies the demand, Fill returns the maximal-progress
 // allocation with Satisfied=false.
 func (f *Filler) Fill(d Demand) Allocation {
-	return f.fill(d, 0, -1)
-}
-
-// FillFixedSlot0 runs progressive filling with slot 0 pinned to exactly
-// slot0 workers (Algorithm 2's marginal-return probe: x_i(0) ← a_i(0)+1,
-// then ProgressiveFilling(i, 1)). slot0 may be 0.
-func (f *Filler) FillFixedSlot0(d Demand, slot0 int) Allocation {
-	return f.fill(d, 1, slot0)
+	return f.fill(&d)
 }
 
 // FillEarliest finds an allocation that completes the demand as soon as
@@ -229,44 +232,88 @@ func (f *Filler) FillEarliest(d Demand, maxSlots int) Allocation {
 		h = 1
 	}
 	for ; h < maxSlots; h *= 2 {
-		d2 := d
-		d2.DeadlineSlot = h
-		if a := f.fill(d2, 0, -1); a.Satisfied {
+		d.DeadlineSlot = h
+		if a := f.fill(&d); a.Satisfied {
 			return a
 		}
 	}
-	d2 := d
-	d2.DeadlineSlot = maxSlots
-	return f.fill(d2, 0, -1)
+	d.DeadlineSlot = maxSlots
+	return f.fill(&d)
 }
 
-// RaiseSlot0 returns cur with its slot-0 worker count raised to slot0 and
-// the remaining slots kept as they are, re-trimmed at the new (earlier)
-// completion point. This is the marginal-return probe Algorithm 2 needs for
-// loose-deadline jobs: re-filling the tail minimally (FillFixedSlot0) would
-// slow the tail down and mask the benefit of the extra GPU, leaving spare
-// capacity unused; keeping the tail makes the probe a strict improvement
-// whenever the raised slot 0 adds throughput. cur must be uncommitted from
-// the filler during the call (the caller manages commit state).
-func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0 int) Allocation {
-	levels := make([]int, len(cur.Levels))
-	copy(levels, cur.Levels)
+// Raise is a plan with its slot 0 raised and every later slot kept,
+// re-trimmed at the new (earlier) completion point, evaluated without
+// building its levels (RaiseSlot0). Apply builds them.
+type Raise struct {
+	// Slot0 is the raised slot-0 worker count after clamping to the free
+	// capacity and the demand's feasible counts.
+	Slot0 int
+	// Satisfied, FinishSlot, FinishFrac and GPUTime are the raised plan's
+	// Allocation fields.
+	Satisfied  bool
+	FinishSlot int
+	FinishFrac float64
+	GPUTime    float64
+}
+
+// FinishTime returns the raised plan's completion time in seconds from the
+// plan origin, exactly as Allocation.FinishTime would.
+func (r Raise) FinishTime(slotDur float64) float64 {
+	if !r.Satisfied {
+		return math.Inf(1)
+	}
+	return (float64(r.FinishSlot) + r.FinishFrac) * slotDur
+}
+
+// Apply builds the raised plan from cur, the levels the raise was evaluated
+// on. It writes slot 0 in place and trims cur at the finish slot, so a caller
+// that does not own cur must pass a copy. An empty cur yields a fresh
+// one-slot plan.
+func (r Raise) Apply(cur []int) Allocation {
+	levels := cur
 	if len(levels) == 0 {
 		levels = []int{0}
 	}
-	x := slot0
-	if free := f.FreeAt(0); x > free {
-		x = free
+	levels[0] = r.Slot0
+	if r.FinishSlot < len(levels) {
+		levels = levels[:r.FinishSlot+1]
 	}
-	levels[0] = f.clampLevel(x, d)
+	return Allocation{Levels: levels, Satisfied: r.Satisfied, FinishSlot: r.FinishSlot, FinishFrac: r.FinishFrac, GPUTime: r.GPUTime}
+}
 
-	a := Allocation{Levels: levels, FinishSlot: len(levels)}
+// RaiseSlot0 evaluates cur with its slot-0 worker count raised to slot0 and
+// the remaining slots kept as they are. This is the marginal-return probe
+// Algorithm 2 needs for loose-deadline jobs: re-filling the tail minimally
+// after pinning slot 0 (the literal ProgressiveFilling(i, 1)) would slow the
+// tail down and mask the benefit of the extra GPU, leaving spare capacity
+// unused; keeping the tail makes the probe a strict improvement whenever the
+// raised slot 0 adds throughput.
+//
+// free0 is the slot-0 capacity available to the job with cur released; the
+// raise is clamped to it. The filler's committed usage is not read, and the
+// evaluation allocates nothing: probes that are not adopted cost one walk
+// over cur.
+func (f *Filler) RaiseSlot0(d *Demand, cur []int, slot0, free0 int) Raise {
+	x := slot0
+	if x > free0 {
+		x = free0
+	}
+	x = f.clampLevel(x, d)
+	r := Raise{Slot0: x}
+	n := len(cur)
+	if n == 0 {
+		n = 1
+	}
 	progress := 0.0
 	// Plans are long runs of equal levels; look up the per-slot throughput
 	// and GPU time once per run. Accumulation stays one addition per slot.
 	lastLv := 0
 	var delta, slotTime float64
-	for t, lv := range levels {
+	for t := 0; t < n; t++ {
+		lv := x
+		if t > 0 {
+			lv = cur[t]
+		}
 		if lv == 0 {
 			continue
 		}
@@ -286,30 +333,28 @@ func (f *Filler) RaiseSlot0(d Demand, cur Allocation, slot0 int) Allocation {
 					frac = 1
 				}
 			}
-			a.Satisfied = true
-			a.FinishSlot = t
-			a.FinishFrac = frac
-			a.GPUTime += float64(lv) * frac * f.SlotDur
-			a.Levels = levels[:t+1]
-			return a
+			r.Satisfied = true
+			r.FinishSlot = t
+			r.FinishFrac = frac
+			r.GPUTime += float64(lv) * frac * f.SlotDur
+			return r
 		}
 		progress += delta
-		a.GPUTime += slotTime
+		r.GPUTime += slotTime
 	}
-	a.Satisfied = d.Remaining <= 1e-9
-	return a
+	r.Satisfied = d.Remaining <= 1e-9
+	r.FinishSlot = n
+	return r
 }
 
-// fill is the common implementation. startSlot is the first slot whose level
-// the candidate j controls; slots before it are pinned to fixed0 (only slot
-// 0 can be pinned). fixed0 < 0 means no pin.
+// fill is the common implementation of progressive filling.
 //
 // Levels are probed in ascending order with a single early-exiting pass per
 // level, so a job satisfiable at a low level costs O(finish slot) rather
 // than O(horizon). Because per-slot allocations — and hence progress — are
 // monotone in the level, the highest level doubles as the maximal-progress
 // fallback when no level satisfies the demand.
-func (f *Filler) fill(d Demand, startSlot, fixed0 int) Allocation {
+func (f *Filler) fill(d *Demand) Allocation {
 	horizon := d.DeadlineSlot
 	if horizon < 0 {
 		horizon = 0
@@ -324,11 +369,11 @@ func (f *Filler) fill(d Demand, startSlot, fixed0 int) Allocation {
 	lastJ := 0
 	for j := 1; j <= maxJ; j = f.nextLevel(j) {
 		lastJ = j
-		if fin, frac, ok := f.probeLevel(d, j, startSlot, fixed0, horizon); ok {
-			return f.materialize(d, j, startSlot, fixed0, fin, frac)
+		if fin, frac, ok := f.probeLevel(d, j, horizon); ok {
+			return f.materialize(d, j, fin, frac)
 		}
 	}
-	return f.materializeUnsatisfied(d, lastJ, startSlot, fixed0, horizon)
+	return f.materializeUnsatisfied(d, lastJ, horizon)
 }
 
 // nextLevel advances the candidate level per the allocation discipline.
@@ -340,16 +385,9 @@ func (f *Filler) nextLevel(j int) int {
 }
 
 // levelAt returns the worker count level j grants in slot t under the
-// pinning rules and current usage.
-func (f *Filler) levelAt(d Demand, j, startSlot, fixed0, t int) int {
+// current usage.
+func (f *Filler) levelAt(d *Demand, j, t int) int {
 	x := j
-	if t < startSlot {
-		if t == 0 && fixed0 >= 0 {
-			x = fixed0
-		} else {
-			x = 0
-		}
-	}
 	if free := f.FreeAt(t); x > free {
 		x = free
 	}
@@ -357,23 +395,12 @@ func (f *Filler) levelAt(d Demand, j, startSlot, fixed0, t int) int {
 }
 
 // segEnd returns the exclusive end, capped at horizon, of the maximal run of
-// slots starting at t over which levelAt is constant: the pinned slot 0 is
-// its own run, other pinned slots share one, and past the pin slots group by
-// equal committed usage (slots beyond the usage grid are one fully-free run).
+// slots starting at t over which levelAt is constant: slots group by equal
+// committed usage (slots beyond the usage grid are one fully-free run).
 // Filled plans are long runs of equal usage, so the per-slot level/clamp/
 // curve work in the loops below amortizes to O(1) per slot — one level
 // computation plus an integer comparison per slot of run.
-func (f *Filler) segEnd(t, startSlot, horizon int) int {
-	if t < startSlot {
-		end := startSlot
-		if t == 0 {
-			end = 1
-		}
-		if end > horizon {
-			end = horizon
-		}
-		return end
-	}
+func (f *Filler) segEnd(t, horizon int) int {
 	n := len(f.used)
 	if t >= n {
 		return horizon
@@ -396,14 +423,14 @@ func (f *Filler) segEnd(t, startSlot, horizon int) int {
 // with one addition per slot in slot order — runs only hoist the (identical)
 // level and throughput computation, keeping results bit-identical to a
 // slot-by-slot walk.
-func (f *Filler) probeLevel(d Demand, j, startSlot, fixed0, horizon int) (fin int, frac float64, ok bool) {
+func (f *Filler) probeLevel(d *Demand, j, horizon int) (fin int, frac float64, ok bool) {
 	if d.Remaining <= 1e-9 {
 		return 0, 0, true
 	}
 	progress := 0.0
 	for t := 0; t < horizon; {
-		end := f.segEnd(t, startSlot, horizon)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
+		end := f.segEnd(t, horizon)
+		x := f.levelAt(d, j, t)
 		if x == 0 {
 			t = end
 			continue
@@ -432,12 +459,12 @@ func (f *Filler) probeLevel(d Demand, j, startSlot, fixed0, horizon int) (fin in
 // materialize builds the satisfied allocation for level j finishing at
 // (fin, frac): levels up to and including the finish slot, fractional GPU
 // time.
-func (f *Filler) materialize(d Demand, j, startSlot, fixed0, fin int, frac float64) Allocation {
+func (f *Filler) materialize(d *Demand, j, fin int, frac float64) Allocation {
 	levels := make([]int, fin+1)
 	gpuTime := 0.0
 	for t := 0; t <= fin; {
-		end := f.segEnd(t, startSlot, fin+1)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
+		end := f.segEnd(t, fin+1)
+		x := f.levelAt(d, j, t)
 		slotTime := float64(x) * f.SlotDur
 		finTime := float64(x) * frac * f.SlotDur
 		for ; t < end; t++ {
@@ -459,12 +486,12 @@ func (f *Filler) materialize(d Demand, j, startSlot, fixed0, fin int, frac float
 
 // materializeUnsatisfied builds the maximal best-effort plan over the whole
 // horizon for an unsatisfiable demand.
-func (f *Filler) materializeUnsatisfied(d Demand, j, startSlot, fixed0, horizon int) Allocation {
+func (f *Filler) materializeUnsatisfied(d *Demand, j, horizon int) Allocation {
 	levels := make([]int, horizon)
 	gpuTime := 0.0
 	for t := 0; t < horizon; {
-		end := f.segEnd(t, startSlot, horizon)
-		x := f.levelAt(d, j, startSlot, fixed0, t)
+		end := f.segEnd(t, horizon)
+		x := f.levelAt(d, j, t)
 		slotTime := float64(x) * f.SlotDur
 		for ; t < end; t++ {
 			levels[t] = x

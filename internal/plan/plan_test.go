@@ -121,22 +121,6 @@ func TestFillUnitModeUsesExactFree(t *testing.T) {
 	}
 }
 
-func TestFillFixedSlot0(t *testing.T) {
-	f := NewFiller(4, 1, true)
-	// Pin slot 0 to 4 GPUs; the filler chooses the rest.
-	a := f.FillFixedSlot0(Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 2, MinGPUs: 1}, 4)
-	if a.Levels[0] != 4 {
-		t.Errorf("slot 0 = %d want 4 (pinned)", a.Levels[0])
-	}
-	if !a.Satisfied {
-		t.Error("pinned fill unsatisfied")
-	}
-	// Slot 0 contributes 2 iterations, so slot 1 needs only level 1.
-	if a.Levels[1] != 1 {
-		t.Errorf("slot 1 = %d want 1", a.Levels[1])
-	}
-}
-
 func TestCommitUncommitRoundTrip(t *testing.T) {
 	f := NewFiller(4, 1, true)
 	a := f.Fill(Demand{Curve: fig4Curve(), Remaining: 3, DeadlineSlot: 2, MinGPUs: 1})
@@ -306,39 +290,163 @@ func TestRaiseSlot0(t *testing.T) {
 	if cur.GPUsAt(0) != 1 || cur.FinishSlot != 3 {
 		t.Fatalf("setup plan %+v", cur)
 	}
-	alt := f.RaiseSlot0(d, cur, 2)
-	if alt.GPUsAt(0) != 2 {
-		t.Fatalf("slot0=%d want 2", alt.GPUsAt(0))
+	r := f.RaiseSlot0(&d, cur.Levels, 2, 4)
+	if r.Slot0 != 2 {
+		t.Fatalf("slot0=%d want 2", r.Slot0)
 	}
+	alt := r.Apply(append([]int(nil), cur.Levels...))
 	// Tail stays at level 1; progress 1.5+1+1 = 3.5 then 0.5 into slot 3.
-	if alt.GPUsAt(1) != 1 {
+	if alt.GPUsAt(0) != 2 || alt.GPUsAt(1) != 1 {
 		t.Errorf("tail changed: %v", alt.Levels)
 	}
-	if !(alt.FinishTime(1) < cur.FinishTime(1)) {
-		t.Errorf("raise did not finish earlier: %v vs %v", alt.FinishTime(1), cur.FinishTime(1))
+	if !(alt.FinishTime(1) < cur.FinishTime(1)) || r.FinishTime(1) != alt.FinishTime(1) {
+		t.Errorf("raise did not finish earlier: %v (eval %v) vs %v", alt.FinishTime(1), r.FinishTime(1), cur.FinishTime(1))
 	}
 	if !alt.Satisfied {
 		t.Error("raised plan unsatisfied")
 	}
+	if cur.GPUsAt(0) != 1 {
+		t.Errorf("evaluation or Apply on a copy mutated the plan: %v", cur.Levels)
+	}
 	// Raising is clamped by free capacity.
-	f.Commit(Allocation{Levels: []int{3}})
-	alt2 := f.RaiseSlot0(d, cur, 4)
-	if alt2.GPUsAt(0) != 1 {
-		t.Errorf("slot0=%d want 1 (only 1 GPU free)", alt2.GPUsAt(0))
+	if r2 := f.RaiseSlot0(&d, cur.Levels, 4, 1); r2.Slot0 != 1 {
+		t.Errorf("slot0=%d want 1 (only 1 GPU free)", r2.Slot0)
 	}
 	// Empty current plan gets a single raised slot.
-	empty := Allocation{}
-	f2 := NewFiller(4, 1, true)
-	alt3 := f2.RaiseSlot0(d, empty, 2)
+	alt3 := f.RaiseSlot0(&d, nil, 2, 4).Apply(nil)
 	if alt3.GPUsAt(0) != 2 || len(alt3.Levels) != 1 {
 		t.Errorf("raise of empty plan = %+v", alt3)
+	}
+}
+
+// refRaiseSlot0 is the copying slot-0 raise the scheduler used before
+// RaiseSlot0 became an allocation-free evaluation, kept as a reference
+// oracle: RaiseSlot0 followed by Apply must build bit-identical plans. It
+// reads the free slot-0 capacity from the filler's grid.
+func refRaiseSlot0(f *Filler, d Demand, cur Allocation, slot0 int) Allocation {
+	levels := make([]int, len(cur.Levels))
+	copy(levels, cur.Levels)
+	if len(levels) == 0 {
+		levels = []int{0}
+	}
+	x := slot0
+	if free := f.FreeAt(0); x > free {
+		x = free
+	}
+	levels[0] = f.clampLevel(x, &d)
+
+	a := Allocation{Levels: levels, FinishSlot: len(levels)}
+	progress := 0.0
+	for t, lv := range levels {
+		if lv == 0 {
+			continue
+		}
+		delta := d.Curve.At(lv) * f.SlotDur
+		if progress+delta >= d.Remaining-1e-9 {
+			frac := 0.0
+			if delta > 0 {
+				frac = (d.Remaining - progress) / delta
+				if frac < 0 {
+					frac = 0
+				}
+				if frac > 1 {
+					frac = 1
+				}
+			}
+			a.Satisfied = true
+			a.FinishSlot = t
+			a.FinishFrac = frac
+			a.GPUTime += float64(lv) * frac * f.SlotDur
+			a.Levels = levels[:t+1]
+			return a
+		}
+		progress += delta
+		a.GPUTime += float64(lv) * f.SlotDur
+	}
+	a.Satisfied = d.Remaining <= 1e-9
+	return a
+}
+
+// TestRaiseSlot0MatchesCopyingRaise cross-checks the copy-free evaluation
+// plus Apply against the copying reference over randomized demands, plans
+// (filled, hand-made with zero runs, empty) and free slot-0 counts, in both
+// allocation disciplines: levels and every accounting field must be
+// bit-identical, FinishTime must agree, and Apply on an owned copy must
+// leave the evaluated plan untouched.
+func TestRaiseSlot0MatchesCopyingRaise(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	curves := []throughput.Curve{
+		fig4Curve(),
+		throughput.MustCurve(map[int]float64{1: 0.7, 2: 1.2, 4: 1.9, 8: 2.4}),
+		throughput.MustCurve(map[int]float64{2: 1, 4: 1.3}),
+	}
+	for i := 0; i < 5000; i++ {
+		g := 1 << rng.Intn(5)
+		f := NewFiller(g, 0.5+rng.Float64(), rng.Intn(2) == 0)
+		d := Demand{
+			Curve:        curves[rng.Intn(len(curves))],
+			Remaining:    rng.Float64() * 20,
+			DeadlineSlot: rng.Intn(30),
+			MinGPUs:      rng.Intn(3),
+			MaxGPUs:      rng.Intn(2) * (1 << rng.Intn(4)),
+		}
+		var cur Allocation
+		switch rng.Intn(3) {
+		case 0:
+			cur = f.Fill(d)
+		case 1:
+			levels := make([]int, 1+rng.Intn(12))
+			for t := range levels {
+				if rng.Intn(3) > 0 {
+					levels[t] = rng.Intn(g + 1)
+				}
+			}
+			cur = Allocation{Levels: levels}
+		}
+		free0 := rng.Intn(g + 1)
+		slot0 := rng.Intn(2*g + 1)
+		f.Commit(Allocation{Levels: []int{g - free0}})
+		want := refRaiseSlot0(f, d, cur, slot0)
+		orig := append([]int(nil), cur.Levels...)
+		r := f.RaiseSlot0(&d, cur.Levels, slot0, free0)
+		got := r.Apply(append([]int(nil), cur.Levels...))
+		if !allocEqual(got, want) || r.Slot0 != want.GPUsAt(0) {
+			t.Fatalf("case %d: raise mismatch\n cur=%v d=%+v slot0=%d free0=%d\n got  %+v (slot0 %d)\n want %+v",
+				i, cur.Levels, d, slot0, free0, got, r.Slot0, want)
+		}
+		if ft, wt := r.FinishTime(f.SlotDur), want.FinishTime(f.SlotDur); ft != wt {
+			t.Fatalf("case %d: FinishTime %v want %v", i, ft, wt)
+		}
+		for k := range orig {
+			if cur.Levels[k] != orig[k] {
+				t.Fatalf("case %d: evaluation mutated the plan: %v -> %v", i, orig, cur.Levels)
+			}
+		}
+	}
+}
+
+// TestRaiseSlot0AllocFree pins the point of the evaluation: a probe that is
+// not adopted allocates nothing.
+func TestRaiseSlot0AllocFree(t *testing.T) {
+	f := NewFiller(16, 60, true)
+	d := Demand{Curve: fig4Curve(), Remaining: 500, DeadlineSlot: 400, MinGPUs: 1}
+	cur := f.Fill(d)
+	var sink Raise
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = f.RaiseSlot0(&d, cur.Levels, 2*cur.GPUsAt(0), 16)
+	})
+	if allocs != 0 {
+		t.Errorf("RaiseSlot0 allocates %v times per call, want 0", allocs)
+	}
+	if sink.Slot0 == 0 {
+		t.Fatalf("degenerate probe %+v", sink)
 	}
 }
 
 // refFill is the pre-run-segment slot-by-slot progressive filling, kept as a
 // reference oracle: the production fill hoists level and throughput lookups
 // across equal-usage runs and must stay bit-identical to this walk.
-func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
+func refFill(f *Filler, d Demand) Allocation {
 	horizon := d.DeadlineSlot
 	if horizon < 0 {
 		horizon = 0
@@ -353,7 +461,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 		}
 		progress := 0.0
 		for t := 0; t < horizon; t++ {
-			x := f.levelAt(d, j, startSlot, fixed0, t)
+			x := f.levelAt(&d, j, t)
 			if x == 0 {
 				continue
 			}
@@ -382,7 +490,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 			levels := make([]int, fin+1)
 			gpuTime := 0.0
 			for t := 0; t <= fin; t++ {
-				x := f.levelAt(d, j, startSlot, fixed0, t)
+				x := f.levelAt(&d, j, t)
 				levels[t] = x
 				if t < fin {
 					gpuTime += float64(x) * f.SlotDur
@@ -400,7 +508,7 @@ func refFill(f *Filler, d Demand, startSlot, fixed0 int) Allocation {
 	levels := make([]int, horizon)
 	gpuTime := 0.0
 	for t := 0; t < horizon; t++ {
-		x := f.levelAt(d, lastJ, startSlot, fixed0, t)
+		x := f.levelAt(&d, lastJ, t)
 		levels[t] = x
 		gpuTime += float64(x) * f.SlotDur
 	}
@@ -425,7 +533,7 @@ func allocEqual(a, b Allocation) bool {
 }
 
 // TestRunFillMatchesSlotBySlot cross-checks the run-segment fill against the
-// slot-by-slot oracle over randomized usage grids, curves, pins, and both
+// slot-by-slot oracle over randomized usage grids, curves, and both
 // allocation disciplines — Levels, FinishFrac, and GPUTime must be
 // bit-identical, not merely close.
 func TestRunFillMatchesSlotBySlot(t *testing.T) {
@@ -456,15 +564,11 @@ func TestRunFillMatchesSlotBySlot(t *testing.T) {
 			MinGPUs:      1 + rng.Intn(2),
 			MaxGPUs:      rng.Intn(2) * (1 << rng.Intn(4)),
 		}
-		startSlot, fixed0 := 0, -1
-		if rng.Intn(2) == 0 {
-			startSlot, fixed0 = 1, rng.Intn(g+1)
-		}
-		got := f.fill(d, startSlot, fixed0)
-		want := refFill(f, d, startSlot, fixed0)
+		got := f.Fill(d)
+		want := refFill(f, d)
 		if !allocEqual(got, want) {
-			t.Fatalf("case %d: fill mismatch\n grid=%v d=%+v start=%d fixed0=%d\n got  %+v\n want %+v",
-				i, f.used, d, startSlot, fixed0, got, want)
+			t.Fatalf("case %d: fill mismatch\n grid=%v d=%+v\n got  %+v\n want %+v",
+				i, f.used, d, got, want)
 		}
 	}
 }
@@ -523,5 +627,11 @@ func TestRestoreShrinksGrid(t *testing.T) {
 	}
 	if got := f.FreeAt(2); got != 4 {
 		t.Fatalf("FreeAt(2) = %d want 4", got)
+	}
+	// Growing the grid again reuses the old backing array; the slots it
+	// takes back must read as free, not as the usage restored away.
+	f.Commit(Allocation{Levels: []int{0, 0, 0, 0, 1}})
+	if f.TotalCommitted() != 1 || f.UsedAt(2) != 0 {
+		t.Fatalf("regrown grid kept stale usage: %v", f.used)
 	}
 }
